@@ -100,11 +100,17 @@ bench-smoke:
 # write), the ≥50% allocs/op drop on the uncached TCP block read, the
 # ≥4x heap-per-block reduction of the compact block map over the
 # historical two-maps-per-block representation, and the ≤1 alloc/op
-# ceiling on WAL appends.
+# ceiling on WAL appends. The namenode's hot-path cost gates count
+# allocations, not time: a one-block getLocations allocates the same
+# for a 1-block and a 400-block file, a repair sweep over a healthy
+# namespace allocates a constant at 1k and 10k blocks, and the sweep
+# still chooses exactly the historical scan's repair jobs (checked
+# against a reference copy and end to end after a datanode death).
 bench-alloc:
 	$(GO) test ./internal/readbench -run 'TestCachedReadAllocCeiling|TestLargeBlock' -count=1 -v
 	$(GO) test ./internal/writebench -run 'TestLargeWrite' -count=1 -v
-	$(GO) test ./internal/dfs/namenode -run 'TestBlockMapHeapPerBlock' -count=1 -v
+	$(GO) test ./internal/dfs/namenode -run 'TestBlockMapHeapPerBlock|TestOneBlockLocationsAllocs|TestRepairScan' -count=1 -v
+	$(GO) test ./internal/dfs/client -run 'TestReReplicationAfterNodeDeath' -count=1 -v
 	$(GO) test ./internal/wal -run 'TestWALAppendAllocCeiling' -count=1 -v
 
 # Short deterministic-budget fuzz of every frame-codec fuzzer (the

@@ -262,6 +262,21 @@ func (c *Client) LocationsForJob(path string, job dfs.JobID) ([]dfs.LocatedBlock
 	return resp.Blocks, nil
 }
 
+// LocateBlock fetches the current location of one block of path,
+// annotated for job as LocationsForJob does. It costs the namenode one
+// block however large the file is, which is what a task refreshing its
+// own input block needs.
+func (c *Client) LocateBlock(path string, job dfs.JobID, id dfs.BlockID) (dfs.LocatedBlock, error) {
+	resp, err := callNNPath[dfs.GetLocationsResp](c, "nn.getLocations", path, dfs.GetLocationsReq{Path: path, Job: job, Block: id})
+	if err != nil {
+		return dfs.LocatedBlock{}, err
+	}
+	if len(resp.Blocks) != 1 || resp.Blocks[0].Block.ID != id {
+		return dfs.LocatedBlock{}, fmt.Errorf("dfs client: block %d not in %s", id, path)
+	}
+	return resp.Blocks[0], nil
+}
+
 // Delete removes a file from the namespace. Any blocks of path held in
 // the client's block cache are dropped.
 func (c *Client) Delete(path string) error {
@@ -497,6 +512,16 @@ func (c *Client) readBlocksPath(path string, blocks []dfs.LocatedBlock, job dfs.
 			if err != nil {
 				return nil, err
 			}
+			if out == nil && len(resp.Data) > 0 {
+				// Size the result once for the whole file: growing it
+				// block by block copies and allocates it several times
+				// over. Synthetic (size-only) files never get here.
+				var size int64
+				for _, b := range blocks {
+					size += b.Block.Size
+				}
+				out = make([]byte, 0, size)
+			}
 			out = append(out, resp.Data...)
 			// A TCP fast-path response owns a pooled buffer; the bytes
 			// are copied out above, so recycle it.
@@ -534,11 +559,18 @@ func (c *Client) readBlocksPath(path string, blocks []dfs.LocatedBlock, job dfs.
 	}
 	wg.Wait()
 
-	var out []byte
+	size := 0
 	for i := range blocks {
 		if errs[i] != nil {
 			return nil, errs[i]
 		}
+		size += len(resps[i].Data)
+	}
+	var out []byte // stays nil for synthetic (size-only) files
+	if size > 0 {
+		out = make([]byte, 0, size)
+	}
+	for i := range resps {
 		out = append(out, resps[i].Data...)
 		resps[i].Release() // pooled TCP buffers recycle after copy-out
 	}

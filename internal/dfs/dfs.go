@@ -234,14 +234,19 @@ type GetInfoResp struct{ Info FileInfo }
 
 // GetLocationsReq fetches the block layout of a file. When Job is set,
 // each block is annotated with the replica the Ignem master assigned to
-// that job's migration.
+// that job's migration. When Block is set, only that block of the file
+// is resolved — HDFS's ranged getBlockLocations — so refreshing one
+// block's location costs one block, not the whole file. Block IDs start
+// at 1; zero asks for every block.
 type GetLocationsReq struct {
-	Path string
-	Job  JobID
+	Path  string
+	Job   JobID
+	Block BlockID
 }
 
-// GetLocationsResp returns all blocks with live replica locations and
-// current migration state.
+// GetLocationsResp returns the requested blocks (all, or the one asked
+// for; none if the file does not contain it) with live replica
+// locations and current migration state.
 type GetLocationsResp struct{ Blocks []LocatedBlock }
 
 // DeleteReq removes a file.

@@ -31,6 +31,7 @@ func TestWireRoundTrip(t *testing.T) {
 		GetInfoReq{Path: "/f"},
 		GetInfoResp{Info: FileInfo{Path: "/f", Size: 9, BlockSize: 3, Replication: 2, Complete: true}},
 		GetLocationsReq{Path: "/f", Job: "j"},
+		GetLocationsReq{Path: "/f", Job: "j", Block: 7},
 		GetLocationsResp{Blocks: []LocatedBlock{{Block: Block{ID: 1, Size: 2}}}},
 		DeleteReq{Path: "/f"},
 		ListReq{Prefix: "/"},

@@ -558,7 +558,7 @@ func (nn *NameNode) handleGetInfo(req dfs.GetInfoReq) (dfs.GetInfoResp, error) {
 }
 
 func (nn *NameNode) handleGetLocations(req dfs.GetLocationsReq) (dfs.GetLocationsResp, error) {
-	blocks, err := nn.Resolve(req.Path)
+	blocks, err := nn.resolve(req.Path, req.Block)
 	if err != nil {
 		return dfs.GetLocationsResp{}, err
 	}
@@ -996,7 +996,13 @@ func (nn *NameNode) LiveDataNodes() []string {
 // filtered here under the registry read lock, so concurrent lookups
 // never serialize.
 func (nn *NameNode) Resolve(path string) ([]dfs.LocatedBlock, error) {
-	raw, err := nn.ns.Resolve(path)
+	return nn.resolve(path, 0)
+}
+
+// resolve is Resolve narrowed to one block when only is non-zero (see
+// Namespace.Resolve).
+func (nn *NameNode) resolve(path string, only dfs.BlockID) ([]dfs.LocatedBlock, error) {
+	raw, err := nn.ns.Resolve(path, only)
 	if err != nil {
 		return nil, err
 	}
@@ -1004,28 +1010,35 @@ func (nn *NameNode) Resolve(path string) ([]dfs.LocatedBlock, error) {
 	nn.dnmu.RLock()
 	defer nn.dnmu.RUnlock()
 	for _, rb := range raw {
-		lb := dfs.LocatedBlock{Block: rb.block, Offset: rb.offset, Checksum: rb.checksum}
-		for _, addr := range rb.nodes {
-			if dn := nn.datanodes[addr]; dn != nil && dn.alive {
-				lb.Nodes = append(lb.Nodes, addr)
-			}
-		}
-		sort.Strings(lb.Nodes)
-		for _, addr := range rb.pinned {
-			if dn := nn.datanodes[addr]; dn != nil && dn.alive {
-				lb.Migrated = append(lb.Migrated, addr)
-			}
-		}
-		sort.Strings(lb.Migrated)
-		for _, addr := range rb.onSSD {
-			if dn := nn.datanodes[addr]; dn != nil && dn.alive {
-				lb.OnSSD = append(lb.OnSSD, addr)
-			}
-		}
-		sort.Strings(lb.OnSSD)
-		out = append(out, lb)
+		out = append(out, dfs.LocatedBlock{
+			Block:    rb.block,
+			Offset:   rb.offset,
+			Checksum: rb.checksum,
+			Nodes:    nn.liveAddrsLocked(rb.nodes),
+			Migrated: nn.liveAddrsLocked(rb.pinned),
+			OnSSD:    nn.liveAddrsLocked(rb.onSSD),
+		})
 	}
 	return out, nil
+}
+
+// liveAddrsLocked returns the sorted subset of addrs whose datanodes are
+// registered and alive. Called with dnmu held (read mode suffices).
+func (nn *NameNode) liveAddrsLocked(addrs []string) []string {
+	if len(addrs) == 0 {
+		return nil
+	}
+	out := make([]string, 0, len(addrs))
+	for _, addr := range addrs {
+		if dn := nn.datanodes[addr]; dn != nil && dn.alive {
+			out = append(out, addr)
+		}
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	sort.Strings(out)
+	return out
 }
 
 // ---- ignem.SlaveLink ----

@@ -1,6 +1,7 @@
 package namenode
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -449,7 +450,7 @@ func TestConcurrentClientsStress(t *testing.T) {
 }
 
 // TestReadersRaceRegistryTraffic hammers the read hot path (getInfo,
-// getLocations, list) from many goroutines while heartbeats with pin
+// whole-file and one-block getLocations, list) from many goroutines while heartbeats with pin
 // deltas, block reports, and re-registrations mutate the registry and
 // block state underneath. Run under -race this pins the RWMutex split:
 // metadata lookups take read locks, registry traffic its own lock.
@@ -485,6 +486,11 @@ func registryStorm(t *testing.T, v *simclock.Virtual, h *harness) {
 					t.Errorf("getLocations: %v", err)
 					return
 				}
+				id := ids[i%len(ids)]
+				if resp, err := h.nn.handleGetLocations(dfs.GetLocationsReq{Path: "/hot", Block: id}); err != nil || len(resp.Blocks) != 1 {
+					t.Errorf("getLocations block %d: %+v, err %v", id, resp.Blocks, err)
+					return
+				}
 				if _, err := h.nn.handleList(dfs.ListReq{Prefix: "/"}); err != nil {
 					t.Errorf("list: %v", err)
 					return
@@ -493,7 +499,18 @@ func registryStorm(t *testing.T, v *simclock.Virtual, h *harness) {
 		})
 	}
 	// Registry writers: heartbeats flipping pin state, block reports,
-	// re-registrations.
+	// re-registrations. Full reports and registrations pass the
+	// report-admission gate, which answers ErrBusy while other writers
+	// hold its slots; a datanode retries those after a backoff, and so
+	// do these writers.
+	admitted := func(report func() error) error {
+		for {
+			if err := report(); !errors.Is(err, dfs.ErrBusy) {
+				return err
+			}
+			v.Sleep(time.Millisecond)
+		}
+	}
 	for w := 0; w < 4; w++ {
 		addr := string(rune('a' + w))
 		wg.Go(func() {
@@ -509,13 +526,19 @@ func registryStorm(t *testing.T, v *simclock.Virtual, h *harness) {
 					return
 				}
 				if i%10 == 0 {
-					if _, err := h.nn.handleBlockReport(dfs.BlockReportReq{Addr: addr, Blocks: ids}); err != nil {
+					if err := admitted(func() error {
+						_, err := h.nn.handleBlockReport(dfs.BlockReportReq{Addr: addr, Blocks: ids})
+						return err
+					}); err != nil {
 						t.Errorf("blockReport: %v", err)
 						return
 					}
 				}
 				if i%25 == 0 {
-					if _, err := h.nn.handleRegister(dfs.RegisterReq{Addr: addr, Blocks: ids}); err != nil {
+					if err := admitted(func() error {
+						_, err := h.nn.handleRegister(dfs.RegisterReq{Addr: addr, Blocks: ids})
+						return err
+					}); err != nil {
 						t.Errorf("register: %v", err)
 						return
 					}

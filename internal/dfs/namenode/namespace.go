@@ -46,7 +46,10 @@ type Namespace interface {
 	List(prefix string) []dfs.FileInfo
 	// Resolve maps a file to its blocks with the raw (liveness-unaware)
 	// replica and pin locations. The caller filters against the registry.
-	Resolve(path string) ([]resolvedBlock, error)
+	// A non-zero only narrows the result to that one block (empty when
+	// the file does not contain it), at the cost of one block rather
+	// than the whole file.
+	Resolve(path string, only dfs.BlockID) ([]resolvedBlock, error)
 	// Reconcile makes the location map agree with a datanode's actual
 	// replica inventory.
 	Reconcile(addr string, held []dfs.BlockID)

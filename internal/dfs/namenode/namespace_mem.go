@@ -198,23 +198,28 @@ func (ns *memNamespace) List(prefix string) []dfs.FileInfo {
 	return out
 }
 
-func (ns *memNamespace) Resolve(path string) ([]resolvedBlock, error) {
+func (ns *memNamespace) Resolve(path string, only dfs.BlockID) ([]resolvedBlock, error) {
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
 	f, ok := ns.files[path]
 	if !ok {
 		return nil, fmt.Errorf("namenode: no such file %s", path)
 	}
+	addrs := ns.table.addrsView()
+	if only != 0 {
+		b, offset, found := findBlock(f, only)
+		if !found {
+			return nil, nil
+		}
+		out := []resolvedBlock{{block: b, offset: offset}}
+		locateBlock(&out[0], addrs, ns.blocks, ns.pins, ns.ssd, ns.sums)
+		return out, nil
+	}
 	out := make([]resolvedBlock, 0, len(f.blocks))
 	var offset int64
-	addrs := ns.table.addrsView()
 	for _, b := range f.blocks {
-		rb := resolvedBlock{block: b, offset: offset, checksum: ns.sums[b.ID]}
-		if meta := ns.blocks[b.ID]; meta != nil {
-			rb.nodes = addrSlice(addrs, &meta.nodes)
-			rb.pinned = idAddrs(addrs, ns.pins.view(b.ID))
-			rb.onSSD = idAddrs(addrs, ns.ssd.view(b.ID))
-		}
+		rb := resolvedBlock{block: b, offset: offset}
+		locateBlock(&rb, addrs, ns.blocks, ns.pins, ns.ssd, ns.sums)
 		offset += b.Size
 		out = append(out, rb)
 	}
@@ -284,7 +289,7 @@ func (ns *memNamespace) DropPinned(addrs []string) {
 func (ns *memNamespace) RepairScan(live map[string]bool) []repairJob {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	return scanShardForRepair(ns.blocks, ns.table, live, &ns.rngMu, ns.rng)
+	return scanShardForRepair(ns.blocks, ns.table, newRepairLiveness(ns.table, live), &ns.rngMu, ns.rng)
 }
 
 func (ns *memNamespace) RepairDone(block dfs.BlockID, target string, ok bool) {
@@ -348,6 +353,18 @@ func findBlock(f *fileEntry, id dfs.BlockID) (dfs.Block, int64, bool) {
 		offset += b.Size
 	}
 	return dfs.Block{}, 0, false
+}
+
+// locateBlock fills rb's checksum and raw replica, pin and SSD
+// locations from one block table. Called with the table's lock held.
+func locateBlock(rb *resolvedBlock, addrs []string, blocks map[dfs.BlockID]*blockMeta, pins, ssd pinMap, sums map[dfs.BlockID]uint32) {
+	id := rb.block.ID
+	rb.checksum = sums[id]
+	if meta := blocks[id]; meta != nil {
+		rb.nodes = addrSlice(addrs, &meta.nodes)
+		rb.pinned = idAddrs(addrs, pins.view(id))
+		rb.onSSD = idAddrs(addrs, ssd.view(id))
+	}
 }
 
 // newBlockMeta builds a block-map entry with the given replica targets
@@ -437,47 +454,104 @@ func applyReplicaDeltas(blocks map[dfs.BlockID]*blockMeta, pins, ssd pinMap, nod
 	}
 }
 
+// repairLiveness is one repair sweep's liveness snapshot, built once
+// per sweep so the per-block scan indexes a slice by node ID instead of
+// hashing address strings.
+type repairLiveness struct {
+	live map[string]bool
+	// byID[id] reports whether the node interned as id is live; IDs
+	// interned after the snapshot fall back to the live map.
+	byID []bool
+	// addrs are the live addresses, sorted: the candidate order. ids
+	// holds each one's node ID, or noNode if it was not yet interned.
+	addrs []string
+	ids   []nodeID
+}
+
+// noNode marks a live address the node table had not interned when the
+// snapshot was taken.
+const noNode = ^nodeID(0)
+
+func newRepairLiveness(table *nodeTable, live map[string]bool) *repairLiveness {
+	rl := &repairLiveness{
+		live:  live,
+		byID:  make([]bool, len(table.addrsView())),
+		addrs: make([]string, 0, len(live)),
+	}
+	for addr, ok := range live {
+		if ok {
+			rl.addrs = append(rl.addrs, addr)
+		}
+	}
+	sort.Strings(rl.addrs)
+	rl.ids = make([]nodeID, len(rl.addrs))
+	for i, addr := range rl.addrs {
+		rl.ids[i] = noNode
+		if id, ok := table.lookup(addr); ok {
+			rl.ids[i] = id
+			if int(id) < len(rl.byID) {
+				rl.byID[id] = true
+			}
+		}
+	}
+	return rl
+}
+
+// isLive reports whether the node interned as id (address addrs[id]) is
+// live in the snapshot.
+func (rl *repairLiveness) isLive(addrs []string, id nodeID) bool {
+	if int(id) < len(rl.byID) {
+		return rl.byID[id]
+	}
+	return rl.live[addrs[id]]
+}
+
 // scanShardForRepair finds under-replicated blocks in one block table:
 // for each block with fewer live replicas than its file requested, a
 // live non-holder is chosen to pull a copy from a surviving holder, and
 // the block is marked healing. Called with the table's lock held; takes
-// the rng lock per chosen block. Holder and candidate lists are built
-// and sorted as address strings, exactly as the historical map-of-maps
-// scan did, so the seeded draws are unchanged.
-func scanShardForRepair(blocks map[dfs.BlockID]*blockMeta, table *nodeTable, live map[string]bool, rngMu *sync.Mutex, rng *rand.Rand) []repairJob {
+// the rng lock per chosen block. Live holders are counted by node ID, so
+// a healthy table costs one pass and no allocation; holder and
+// candidate lists are built only for under-replicated blocks, as sorted
+// address strings exactly as the historical map-of-maps scan built
+// them, so the seeded draws are unchanged.
+func scanShardForRepair(blocks map[dfs.BlockID]*blockMeta, table *nodeTable, rl *repairLiveness, rngMu *sync.Mutex, rng *rand.Rand) []repairJob {
 	var jobs []repairJob
 	addrs := table.addrsView()
 	for id, meta := range blocks {
 		if meta.healing {
 			continue
 		}
-		var holders []string
-		holdsLive := func(addr string) bool {
-			nid, ok := table.lookup(addr)
-			return ok && meta.nodes.contains(nid)
+		nodes := meta.nodes.view()
+		live := 0
+		for _, nid := range nodes {
+			if rl.isLive(addrs, nid) {
+				live++
+			}
 		}
-		for _, nid := range meta.nodes.view() {
-			if live[addrs[nid]] {
+		if live == 0 || live >= int(meta.want) {
+			continue
+		}
+		holders := make([]string, 0, live)
+		for _, nid := range nodes {
+			if rl.isLive(addrs, nid) {
 				holders = append(holders, addrs[nid])
 			}
 		}
-		if len(holders) == 0 || len(holders) >= int(meta.want) {
-			continue
-		}
 		sort.Strings(holders)
 		var candidates []string
-		for addr, ok := range live {
-			if !ok {
-				continue
+		for i, addr := range rl.addrs {
+			nid, ok := rl.ids[i], true
+			if nid == noNode {
+				nid, ok = table.lookup(addr)
 			}
-			if !holdsLive(addr) {
+			if !ok || !meta.nodes.contains(nid) {
 				candidates = append(candidates, addr)
 			}
 		}
 		if len(candidates) == 0 {
 			continue
 		}
-		sort.Strings(candidates)
 		rngMu.Lock()
 		target := candidates[rng.Intn(len(candidates))]
 		source := holders[rng.Intn(len(holders))]

@@ -284,13 +284,26 @@ func (ns *shardedNamespace) List(prefix string) []dfs.FileInfo {
 	return out
 }
 
-func (ns *shardedNamespace) Resolve(path string) ([]resolvedBlock, error) {
+func (ns *shardedNamespace) Resolve(path string, only dfs.BlockID) ([]resolvedBlock, error) {
 	fs := ns.fileShardOf(path)
 	fs.mu.RLock()
 	f, ok := fs.files[path]
 	if !ok {
 		fs.mu.RUnlock()
 		return nil, fmt.Errorf("namenode: no such file %s", path)
+	}
+	if only != 0 {
+		b, offset, found := findBlock(f, only)
+		fs.mu.RUnlock()
+		if !found {
+			return nil, nil
+		}
+		out := []resolvedBlock{{block: b, offset: offset}}
+		bs := ns.blockShardOf(b.ID)
+		bs.mu.RLock()
+		locateBlock(&out[0], ns.table.addrsView(), bs.blocks, bs.pins, bs.ssd, bs.sums)
+		bs.mu.RUnlock()
+		return out, nil
 	}
 	blocks := append([]dfs.Block(nil), f.blocks...)
 	fs.mu.RUnlock()
@@ -312,12 +325,7 @@ func (ns *shardedNamespace) Resolve(path string) ([]resolvedBlock, error) {
 		bs := ns.blockShards[s]
 		bs.mu.RLock()
 		for _, i := range idxs {
-			out[i].checksum = bs.sums[out[i].block.ID]
-			if meta := bs.blocks[out[i].block.ID]; meta != nil {
-				out[i].nodes = addrSlice(addrs, &meta.nodes)
-				out[i].pinned = idAddrs(addrs, bs.pins.view(out[i].block.ID))
-				out[i].onSSD = idAddrs(addrs, bs.ssd.view(out[i].block.ID))
-			}
+			locateBlock(&out[i], addrs, bs.blocks, bs.pins, bs.ssd, bs.sums)
 		}
 		bs.mu.RUnlock()
 	}
@@ -420,13 +428,14 @@ func (ns *shardedNamespace) DropPinned(addrs []string) {
 
 func (ns *shardedNamespace) RepairScan(live map[string]bool) []repairJob {
 	var jobs []repairJob
+	rl := newRepairLiveness(ns.table, live)
 	for i, bs := range ns.blockShards {
 		// Block shard i's repair draws come from file shard i's stream,
 		// so at shard count 1 repair and placement share the single seed
 		// stream exactly as memNamespace interleaves them.
 		fs := ns.fileShards[i]
 		bs.mu.Lock()
-		jobs = append(jobs, scanShardForRepair(bs.blocks, ns.table, live, &fs.rngMu, fs.rng)...)
+		jobs = append(jobs, scanShardForRepair(bs.blocks, ns.table, rl, &fs.rngMu, fs.rng)...)
 		bs.mu.Unlock()
 	}
 	return jobs

@@ -97,7 +97,7 @@ func driveNamespace(ns Namespace) []string {
 	_, err = ns.Allocate("/missing", []int64{1}, nil, nil, 0, false)
 	tr.err("alloc /missing", err)
 
-	first, err := ns.Resolve("/a/x")
+	first, err := ns.Resolve("/a/x", 0)
 	tr.resolved("resolve /a/x", first, err)
 	lb, err := ns.Retarget("/a/x", first[0].block.ID, []string{"b"})
 	tr.located("retarget /a/x", []dfs.LocatedBlock{lb}, err)
@@ -118,7 +118,7 @@ func driveNamespace(ns Namespace) []string {
 	}
 
 	// Pin deltas and reconcile against the first file's blocks.
-	rbs, err := ns.Resolve("/a/x")
+	rbs, err := ns.Resolve("/a/x", 0)
 	tr.resolved("resolve /a/x post-retarget", rbs, err)
 	var ids []dfs.BlockID
 	for _, rb := range rbs {
@@ -127,10 +127,10 @@ func driveNamespace(ns Namespace) []string {
 	ns.PinDeltas("c", ids[:1], nil)
 	ns.PinDeltas("c", nil, ids[1:])
 	ns.Reconcile("d", ids)
-	rbs, err = ns.Resolve("/a/x")
+	rbs, err = ns.Resolve("/a/x", 0)
 	tr.resolved("resolve /a/x post-pin", rbs, err)
 	ns.DropPinned([]string{"c"})
-	rbs, err = ns.Resolve("/a/x")
+	rbs, err = ns.Resolve("/a/x", 0)
 	tr.resolved("resolve /a/x post-drop", rbs, err)
 
 	// Exactly one block under-replicated: strip every holder of block
@@ -143,7 +143,7 @@ func driveNamespace(ns Namespace) []string {
 	// transcript comparison.
 	holdings := map[string][]dfs.BlockID{}
 	for _, path := range []string{"/a/x", "/a/y", "/b/z"} {
-		rbs, err := ns.Resolve(path)
+		rbs, err := ns.Resolve(path, 0)
 		if err != nil {
 			continue
 		}
@@ -174,7 +174,7 @@ func driveNamespace(ns Namespace) []string {
 	for _, j := range jobs {
 		ns.RepairDone(j.block.ID, j.target, true)
 	}
-	rbs, err = ns.Resolve("/a/x")
+	rbs, err = ns.Resolve("/a/x", 0)
 	tr.resolved("resolve /a/x post-repair", rbs, err)
 
 	work, err := ns.Delete("/a/x")

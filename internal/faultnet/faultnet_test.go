@@ -189,8 +189,10 @@ func TestCrashAfterFiresAtScheduledInstant(t *testing.T) {
 	v := simclock.NewVirtual(epoch)
 	fab := New(v, transport.NewInmemNetwork(v), 1)
 	startEcho(t, v, fab.Node("srv"), "srv")
-	fab.CrashAfter("srv", 5*time.Second)
 	v.Run(func() {
+		// Scheduled from inside the simulation: armed from outside, the
+		// crash could fire before this goroutine starts.
+		fab.CrashAfter("srv", 5*time.Second)
 		c, _ := transport.Dial(v, fab.Node("cli"), "srv")
 		defer c.Close()
 		if _, err := c.Call("echo", echoReq{}); err != nil {
@@ -251,8 +253,11 @@ func runLossyScenario(t *testing.T, seed int64) []string {
 	v := simclock.NewVirtual(epoch)
 	fab := New(v, transport.NewInmemNetwork(v), seed)
 	startEcho(t, v, fab.Node("srv"), "srv")
-	fab.CrashAfter("srv", time.Minute) // never fires within the scenario; exercises scheduling
 	v.Run(func() {
+		// Fires only after the workload; exercises scheduling. Armed
+		// inside the simulation so it cannot fire before the workload
+		// starts.
+		fab.CrashAfter("srv", time.Minute)
 		c, _ := transport.Dial(v, fab.Node("cli"), "srv", transport.WithCallTimeout(500*time.Millisecond))
 		defer c.Close()
 		fab.SetDrop("cli", "srv", 0.4)

@@ -378,14 +378,10 @@ func (e *Engine) runMapTask(node string, cfg Config, path string, lb dfs.Located
 	}
 	// Re-resolve the block so the read sees migration state that arrived
 	// after job submission — this is how a task learns a migrated copy
-	// exists and expresses the paper's locality preference.
-	if fresh, err := c.LocationsForJob(path, cfg.ID); err == nil {
-		for _, flb := range fresh {
-			if flb.Block.ID == lb.Block.ID {
-				lb = flb
-				break
-			}
-		}
+	// exists and expresses the paper's locality preference. Only this
+	// task's block is refreshed: the rest of the file is other tasks'.
+	if fresh, err := c.LocateBlock(path, cfg.ID, lb.Block.ID); err == nil {
+		lb = fresh
 	}
 	if _, err := c.ReadBlock(lb, cfg.ID); err != nil {
 		return

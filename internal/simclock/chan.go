@@ -34,9 +34,10 @@ func NewChan[T any](clock Clock) *Chan[T] {
 }
 
 // waiter represents one parked receiver. Exactly one waker — a sender, a
-// Close, or a timeout — wins the fired flag and delivers the outcome by
-// sending on wake (buffered, capacity 1, so the winning waker never
-// blocks and the waiter can be reused after the receiver drains it).
+// Close, or a timeout — wins the fired flag and delivers the outcome
+// through the clock's unpark, which sends on wake (buffered, capacity 1,
+// so the delivery never blocks and the waiter can be reused after the
+// receiver drains it).
 type waiter[T any] struct {
 	fired    atomic.Bool
 	wake     chan struct{}
@@ -52,13 +53,12 @@ type waiter[T any] struct {
 }
 
 // timeoutFire implements timeoutTarget: the timeout path for RecvTimeout.
-func (w *waiter[T]) timeoutFire() bool {
+func (w *waiter[T]) timeoutFire() chan struct{} {
 	if !w.fired.CompareAndSwap(false, true) {
-		return false
+		return nil
 	}
 	w.timedOut = true
-	w.wake <- struct{}{}
-	return true
+	return w.wake
 }
 
 // Send appends v to the mailbox, waking a parked receiver if any. It
@@ -75,8 +75,7 @@ func (c *Chan[T]) Send(v T) bool {
 		if w.fired.CompareAndSwap(false, true) {
 			w.val = v
 			w.ok = true
-			c.clock.unparkOne()
-			w.wake <- struct{}{}
+			c.clock.unpark(w.wake)
 			return true
 		}
 	}
@@ -179,7 +178,11 @@ func (c *Chan[T]) RecvTimeout(d time.Duration) (v T, ok, timedOut bool) {
 		// fresh time.AfterFunc (timer + closure) per call.
 		wall := r.scaleDown(d)
 		if w.timer == nil {
-			w.timer = time.AfterFunc(wall, func() { w.timeoutFire() })
+			w.timer = time.AfterFunc(wall, func() {
+				if wake := w.timeoutFire(); wake != nil {
+					wake <- struct{}{}
+				}
+			})
 		} else {
 			w.timer.Reset(wall)
 		}
@@ -219,8 +222,7 @@ func (c *Chan[T]) Close() {
 	c.closed = true
 	for _, w := range c.waiters {
 		if w.fired.CompareAndSwap(false, true) {
-			c.clock.unparkOne()
-			w.wake <- struct{}{}
+			c.clock.unpark(w.wake)
 		}
 	}
 	c.waiters = nil

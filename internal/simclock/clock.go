@@ -5,9 +5,11 @@
 //
 //   - Real: wall-clock time, optionally scaled, for live deployments and
 //     TCP-based integration tests.
-//   - Virtual: a deterministic discrete-event clock for experiments. Time
-//     advances instantly to the next deadline whenever every simulation
-//     goroutine is parked in a clock-aware wait.
+//   - Virtual: a deterministic discrete-event clock for experiments. One
+//     simulation goroutine runs at a time, handed the turn in an order
+//     fixed by the simulation itself, and time advances instantly to the
+//     next deadline whenever every simulation goroutine is parked in a
+//     clock-aware wait.
 //
 // The virtual clock only works if simulation goroutines cooperate:
 //
@@ -17,8 +19,9 @@
 //   - Never hold a mutex across any of those waits. Plain mutexes with
 //     short critical sections are fine.
 //
-// Violating these rules stalls virtual time (the clock believes a
-// goroutine is still runnable and refuses to advance).
+// Violating these rules stalls virtual time: the running goroutine keeps
+// the turn while it blocks, so no other simulation goroutine runs and
+// the clock refuses to advance.
 package simclock
 
 import "time"
@@ -38,24 +41,25 @@ type Clock interface {
 
 	// parkPrepare marks the calling goroutine as blocked. It must be
 	// called immediately before blocking on a wake channel that some
-	// other goroutine (or a timer) will close.
+	// other goroutine (or a timer) will deliver on through unpark.
 	parkPrepare()
 
-	// unparkOne marks one goroutine as runnable again, on behalf of a
-	// parked goroutine that the caller is about to wake. It must be
-	// called before (or atomically with) the wake itself.
-	unparkOne()
+	// unpark makes a parked goroutine runnable again by delivering on
+	// its wake channel (capacity 1). The virtual clock queues the wake
+	// and delivers it when the goroutine's turn to run comes.
+	unpark(wake chan struct{})
 
 	// afterFunc arranges for t.timeoutFire to run once d elapses unless
-	// the returned cancel function runs first. The target's timeoutFire
-	// reports whether it won the race against a competing waker; the
-	// virtual clock uses that to fix up its runnable accounting.
+	// the returned cancel function runs first, and then delivers on the
+	// wake channel timeoutFire returns, if it won the race against a
+	// competing waker.
 	afterFunc(d time.Duration, t timeoutTarget) (cancel func())
 }
 
 // timeoutTarget is the internal hook used by afterFunc. timeoutFire must
-// be safe to call from any goroutine, must not block, and reports whether
-// it actually fired (won the race against another waker).
+// be safe to call from any goroutine and must not block. If it won the
+// race against other wakers it returns the wake channel the clock must
+// deliver on; otherwise nil.
 type timeoutTarget interface {
-	timeoutFire() bool
+	timeoutFire() chan struct{}
 }

@@ -64,8 +64,7 @@ func (c *Cond) Signal() {
 		c.waiters = c.waiters[1:]
 		if w.fired.CompareAndSwap(false, true) {
 			w.ok = true
-			c.clock.unparkOne()
-			w.wake <- struct{}{}
+			c.clock.unpark(w.wake)
 			return
 		}
 	}
@@ -78,8 +77,7 @@ func (c *Cond) Broadcast() {
 	for _, w := range c.waiters {
 		if w.fired.CompareAndSwap(false, true) {
 			w.ok = true
-			c.clock.unparkOne()
-			w.wake <- struct{}{}
+			c.clock.unpark(w.wake)
 		}
 	}
 	c.waiters = nil

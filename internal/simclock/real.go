@@ -52,10 +52,15 @@ func (r *Real) Sleep(d time.Duration) {
 func (r *Real) Go(fn func()) { go fn() }
 
 func (r *Real) parkPrepare() {}
-func (r *Real) unparkOne()   {}
+
+func (r *Real) unpark(wake chan struct{}) { wake <- struct{}{} }
 
 func (r *Real) afterFunc(d time.Duration, t timeoutTarget) (cancel func()) {
-	timer := time.AfterFunc(r.scaleDown(d), func() { t.timeoutFire() })
+	timer := time.AfterFunc(r.scaleDown(d), func() {
+		if wake := t.timeoutFire(); wake != nil {
+			wake <- struct{}{}
+		}
+	})
 	return func() { timer.Stop() }
 }
 

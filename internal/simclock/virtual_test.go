@@ -42,16 +42,19 @@ func TestVirtualConcurrentSleepersWakeInOrder(t *testing.T) {
 	v := NewVirtual(epoch)
 	var mu sync.Mutex
 	var order []int
-	for i := 10; i >= 1; i-- {
-		i := i
-		v.Go(func() {
-			v.Sleep(time.Duration(i) * time.Second)
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-		})
-	}
-	v.Wait()
+	// Spawned from inside the simulation, so no sleeper's deadline can
+	// pass before every sleeper is armed (see TestVirtualSleepExactness).
+	v.Run(func() {
+		for i := 10; i >= 1; i-- {
+			i := i
+			v.Go(func() {
+				v.Sleep(time.Duration(i) * time.Second)
+				mu.Lock()
+				order = append(order, i)
+				mu.Unlock()
+			})
+		}
+	})
 	if len(order) != 10 {
 		t.Fatalf("got %d wake-ups, want 10", len(order))
 	}
@@ -155,21 +158,26 @@ func TestVirtualSleepExactness(t *testing.T) {
 		var mu sync.Mutex
 		okAll := true
 		var maxD time.Duration
-		for _, r := range raw {
-			d := time.Duration(r) * time.Millisecond
-			if d > maxD {
-				maxD = d
-			}
-			v.Go(func() {
-				v.Sleep(d)
-				mu.Lock()
-				if !v.Now().Equal(epoch.Add(d)) && v.Now().Before(epoch.Add(d)) {
-					okAll = false
+		// Spawn from inside the simulation: the spawner stays runnable
+		// until every sleeper is armed, so time cannot advance between
+		// spawns (spawning from outside lets early sleepers move the
+		// clock before later ones start, which this property excludes).
+		v.Run(func() {
+			for _, r := range raw {
+				d := time.Duration(r) * time.Millisecond
+				if d > maxD {
+					maxD = d
 				}
-				mu.Unlock()
-			})
-		}
-		v.Wait()
+				v.Go(func() {
+					v.Sleep(d)
+					mu.Lock()
+					if !v.Now().Equal(epoch.Add(d)) && v.Now().Before(epoch.Add(d)) {
+						okAll = false
+					}
+					mu.Unlock()
+				})
+			}
+		})
 		return okAll && v.Now().Equal(epoch.Add(maxD))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
