@@ -40,9 +40,14 @@ fmt-check:
 tidy-check:
 	$(GO) mod tidy -diff
 
-# Guards the paper figures: the seeded-determinism test must pass, and
-# two regenerations of the swim and table3 experiments must render
-# byte-for-byte identical output (wall-time footer lines filtered).
+# The seeded experiments besides swim and table3 whose rendered output is
+# pinned by a committed golden (internal/experiments/testdata/<id>.golden).
+GOLDEN_EXPERIMENTS = fig1-2 fig3-4 fig8 baseline media fig9
+
+# Guards the paper figures: the seeded-determinism test must pass at
+# GOMAXPROCS 1, 8 and the machine's default, and two regenerations of
+# the swim and table3 experiments must render byte-for-byte identical
+# output (wall-time footer lines filtered).
 # The sharded metadata plane extends the guard: shard count 1 must
 # reproduce the unsharded figures bit for bit (same seeded rng stream),
 # and shard count 4 must be deterministic across runs. The committed
@@ -50,9 +55,12 @@ tidy-check:
 # figures across PRs: at the default config — paper migration policy,
 # no tier budgets, no SSD tier — the output must stay bit-identical to
 # the pre-ladder pin-in-RAM master. Regenerate it deliberately with
-# `make golden` when a change is *supposed* to move the figures.
+# `make golden` when a change is *supposed* to move the figures. Every
+# other seeded experiment must match its own committed golden too.
 determinism:
 	$(GO) test ./internal/experiments -run TestSwimSeededRunsAreBitIdentical -count=1
+	GOMAXPROCS=1 $(GO) test ./internal/experiments -run TestSwimSeededRunsAreBitIdentical -count=1
+	GOMAXPROCS=8 $(GO) test ./internal/experiments -run TestSwimSeededRunsAreBitIdentical -count=1
 	$(GO) run ./cmd/ignem-bench swim table3 | grep -v 'wall time' > /tmp/ignem-determinism-a.txt
 	$(GO) run ./cmd/ignem-bench swim table3 | grep -v 'wall time' > /tmp/ignem-determinism-b.txt
 	diff /tmp/ignem-determinism-a.txt /tmp/ignem-determinism-b.txt
@@ -62,10 +70,17 @@ determinism:
 	IGNEM_META_SHARDS=4 $(GO) run ./cmd/ignem-bench swim table3 | grep -v 'wall time' > /tmp/ignem-determinism-s4a.txt
 	IGNEM_META_SHARDS=4 $(GO) run ./cmd/ignem-bench swim table3 | grep -v 'wall time' > /tmp/ignem-determinism-s4b.txt
 	diff /tmp/ignem-determinism-s4a.txt /tmp/ignem-determinism-s4b.txt
+	for e in $(GOLDEN_EXPERIMENTS); do \
+		$(GO) run ./cmd/ignem-bench $$e | grep -v 'wall time' > /tmp/ignem-determinism-$$e.txt && \
+		diff /tmp/ignem-determinism-$$e.txt internal/experiments/testdata/$$e.golden || exit 1; \
+	done
 
-# Re-bless the committed figure golden after an intentional change.
+# Re-bless the committed figure goldens after an intentional change.
 golden:
 	$(GO) run ./cmd/ignem-bench swim table3 | grep -v 'wall time' > internal/experiments/testdata/swim_table3.golden
+	for e in $(GOLDEN_EXPERIMENTS); do \
+		$(GO) run ./cmd/ignem-bench $$e | grep -v 'wall time' > internal/experiments/testdata/$$e.golden || exit 1; \
+	done
 
 # The failure-recovery suite: the deterministic fault fabric's unit
 # tests and the end-to-end chaos scenarios (datanode crash mid-write,
@@ -105,13 +120,19 @@ bench-smoke:
 # for a 1-block and a 400-block file, a repair sweep over a healthy
 # namespace allocates a constant at 1k and 10k blocks, and the sweep
 # still chooses exactly the historical scan's repair jobs (checked
-# against a reference copy and end to end after a datanode death).
+# against a reference copy and end to end after a datanode death). The
+# virtual clock's gates count work, not time: a warmed Sleep and a Chan
+# round trip allocate nothing, and the paper's SWIM run pushes exactly
+# its historical timer count in at most 60% of the historical turns and
+# 2% of the goroutine starts.
 bench-alloc:
 	$(GO) test ./internal/readbench -run 'TestCachedReadAllocCeiling|TestLargeBlock' -count=1 -v
 	$(GO) test ./internal/writebench -run 'TestLargeWrite' -count=1 -v
 	$(GO) test ./internal/dfs/namenode -run 'TestBlockMapHeapPerBlock|TestOneBlockLocationsAllocs|TestRepairScan' -count=1 -v
 	$(GO) test ./internal/dfs/client -run 'TestReReplicationAfterNodeDeath' -count=1 -v
 	$(GO) test ./internal/wal -run 'TestWALAppendAllocCeiling' -count=1 -v
+	$(GO) test ./internal/simclock -run 'TestVirtualSleepAllocs|TestVirtualChanRoundTripAllocs' -count=1 -v
+	$(GO) test ./internal/experiments -run 'TestSwimClockWork' -count=1 -v
 
 # Short deterministic-budget fuzz of every frame-codec fuzzer (the
 # committed corpus always runs in plain `make test`; this explores).

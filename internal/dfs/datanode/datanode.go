@@ -704,13 +704,34 @@ func (dn *DataNode) handleReadNotify(req dfs.ReadNotifyBatch) (dfs.ReadNotifyBat
 
 // heartbeatLoop reports liveness, pinned-memory occupancy, pin-state
 // deltas, and incremental block-report deltas to the namenode.
+//
+// Ticks with nothing to send are consumed by quiet, which the clock may
+// run in place of waking the loop (Clock.SleepWhile); the loop body
+// below re-checks the same state in the same order, so it takes the
+// branch quiet declined.
 func (dn *DataNode) heartbeatLoop() {
+	tick := dn.cfg.PinReportInterval
 	var sinceBeat time.Duration
 	var sinceFull time.Duration
+	quiet := func() (time.Duration, bool) {
+		sinceBeat += tick
+		sinceFull += tick
+		dn.mu.Lock()
+		defer dn.mu.Unlock()
+		if dn.closed || dn.needRegister {
+			return 0, false
+		}
+		if dn.skipTicks > 0 {
+			dn.skipTicks--
+			return tick, true
+		}
+		if dn.needFull || (dn.cfg.FullReportInterval > 0 && sinceFull >= dn.cfg.FullReportInterval) {
+			return 0, false
+		}
+		return tick, !dn.pinDirty && sinceBeat < dn.cfg.HeartbeatInterval
+	}
 	for {
-		dn.clock.Sleep(dn.cfg.PinReportInterval)
-		sinceBeat += dn.cfg.PinReportInterval
-		sinceFull += dn.cfg.PinReportInterval
+		dn.clock.SleepWhile(tick, quiet)
 		dn.mu.Lock()
 		if dn.closed {
 			dn.mu.Unlock()

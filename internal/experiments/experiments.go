@@ -19,11 +19,18 @@ import (
 // stalled virtual-time simulation fails instead of hanging.
 const WallTimeout = 30 * time.Minute
 
+// clockHook, when set, sees each experiment's virtual clock as its
+// simulation starts; tests read the clock's work counters through it.
+var clockHook func(v *simclock.Virtual)
+
 // runOnCluster starts a cluster inside a fresh virtual-time simulation,
 // runs fn, and tears everything down.
 func runOnCluster(cfg cluster.Config, fn func(v *simclock.Virtual, c *cluster.Cluster) error) error {
 	var inner error
 	err := cluster.RunVirtual(WallTimeout, func(v *simclock.Virtual) {
+		if clockHook != nil {
+			clockHook(v)
+		}
 		c, err := cluster.Start(v, cfg)
 		if err != nil {
 			inner = err

@@ -1,12 +1,11 @@
 package readbench
 
 import (
-	"runtime"
-	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/dfs/client"
+	"repro/internal/pairbench"
 )
 
 func withCluster(b *testing.B, fn func(b *testing.B, c *Cluster)) {
@@ -76,42 +75,11 @@ func measureLargeRead(t *testing.T, fast bool) testing.BenchmarkResult {
 	return testing.Benchmark(func(b *testing.B) { BenchLargeBlockRead(b, c) })
 }
 
-// pairedSpeedup measures a wall-clock speedup as the median of per-pair
-// ratios over reps interleaved A/B repetitions: each pair times the slow
-// and the fast side back to back (alternating which goes first), so a
-// burst of load on a shared machine taxes both halves of a pair alike,
-// and the median discards the pairs a burst split. Each side starts
-// from a collected heap, as testing.Benchmark starts each run, so one
-// side's garbage is not collected on the other's time. It returns the
-// median slow/fast ratio and every pair's ratio, sorted.
-func pairedSpeedup(reps int, slow, fast func() time.Duration) (float64, []float64) {
-	timed := func(side func() time.Duration) time.Duration {
-		runtime.GC()
-		return side()
-	}
-	ratios := make([]float64, 0, reps)
-	for i := 0; i < reps; i++ {
-		var s, f time.Duration
-		if i%2 == 0 {
-			s, f = timed(slow), timed(fast)
-		} else {
-			f, s = timed(fast), timed(slow)
-		}
-		ratios = append(ratios, float64(s)/float64(f))
-	}
-	sort.Float64s(ratios)
-	return ratios[len(ratios)/2], ratios
-}
-
-// speedupReps is how many interleaved pairs a speedup gate measures;
-// odd, so the median is one pair's ratio.
-const speedupReps = 9
-
 // TestLargeBlockFastPathSpeedup pins the codec acceptance bar: at the
 // 4MiB block size where the wire cost dominates, a single uncached
 // ReadBlock through the binary fast path is at least 1.5x faster than
 // through the gob baseline (WithTCPFastPath(false)) on the same HEAD —
-// as the median over interleaved pairs (see pairedSpeedup). Both sides
+// as the median over interleaved pairs (see pairbench.Speedup). Both sides
 // run the identical RAM-served TCP cluster, so the ratio isolates the
 // codec.
 func TestLargeBlockFastPathSpeedup(t *testing.T) {
@@ -153,7 +121,7 @@ func TestLargeBlockFastPathSpeedup(t *testing.T) {
 		}
 	}
 	const ops = 40
-	median, ratios := pairedSpeedup(speedupReps, reader(false, ops), reader(true, ops))
+	median, ratios := pairbench.Speedup(pairbench.Reps, reader(false, ops), reader(true, ops))
 	// The race detector taxes the two codecs unevenly (gob's reflection
 	// walk is instrumented far more densely than one memmove), so only
 	// the direction is asserted there; 1.5x is enforced on the normal
@@ -221,7 +189,7 @@ func TestCachedReadAllocCeiling(t *testing.T) {
 // TestRepeatedScanCacheSpeedup pins the block-cache acceptance bar: the
 // second-and-later scans of a hot 8-block file through a cache-enabled
 // client are at least 2x faster than re-fetching every scan, as the
-// median over interleaved pairs (see pairedSpeedup). Cache hits are pure
+// median over interleaved pairs (see pairbench.Speedup). Cache hits are pure
 // in-process memory reads while the uncached side pays the modeled
 // device plus wire charge.
 func TestRepeatedScanCacheSpeedup(t *testing.T) {
@@ -258,7 +226,7 @@ func TestRepeatedScanCacheSpeedup(t *testing.T) {
 		}
 	}
 	const iters = 10
-	median, ratios := pairedSpeedup(speedupReps, scanner(0, iters), scanner(RepeatedScanCacheBytes, iters))
+	median, ratios := pairbench.Speedup(pairbench.Reps, scanner(0, iters), scanner(RepeatedScanCacheBytes, iters))
 	// Under -race the cache-hit path (pure instrumented memory reads)
 	// is taxed far harder than the uncached side's modeled device
 	// charge, so only the direction is asserted there; the 2x bar is

@@ -21,10 +21,8 @@ type Chan[T any] struct {
 	buf     []T
 	waiters []*waiter[T]
 	closed  bool
-	// wcache holds one idle waiter for reuse by the next receiver. Only
-	// real-clock receivers recycle into it (the virtual clock's event
-	// scheduling stays byte-for-byte untouched); a waiter is recycled
-	// only when no waker can still reference it.
+	// wcache holds one idle waiter for reuse by the next receiver. A
+	// waiter is recycled only when no waker can still reference it.
 	wcache *waiter[T]
 }
 
@@ -37,7 +35,8 @@ func NewChan[T any](clock Clock) *Chan[T] {
 // Close, or a timeout — wins the fired flag and delivers the outcome
 // through the clock's unpark, which sends on wake (buffered, capacity 1,
 // so the delivery never blocks and the waiter can be reused after the
-// receiver drains it).
+// receiver drains it). On the virtual clock wake is the parked
+// goroutine's own channel; on the real clock the waiter owns it.
 type waiter[T any] struct {
 	fired    atomic.Bool
 	wake     chan struct{}
@@ -71,7 +70,12 @@ func (c *Chan[T]) Send(v T) bool {
 	}
 	for len(c.waiters) > 0 {
 		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
+		c.waiters[0] = nil
+		if len(c.waiters) == 1 {
+			c.waiters = c.waiters[:0] // keep the backing array for the next waiter
+		} else {
+			c.waiters = c.waiters[1:]
+		}
 		if w.fired.CompareAndSwap(false, true) {
 			w.val = v
 			w.ok = true
@@ -113,27 +117,33 @@ func (c *Chan[T]) Recv() (v T, ok bool) {
 	return v, ok
 }
 
-// acquireWaiterLocked returns a reset waiter, reusing the cached one when
-// the Chan runs on the real clock. The caller must hold c.mu.
+// acquireWaiterLocked returns a reset waiter for the calling goroutine,
+// reusing the cached one when there is one. The caller must hold c.mu.
 func (c *Chan[T]) acquireWaiterLocked() *waiter[T] {
-	if w := c.wcache; w != nil {
+	w := c.wcache
+	if w != nil {
 		c.wcache = nil
 		w.fired.Store(false)
 		w.ok = false
 		w.timedOut = false
-		return w
+	} else {
+		w = &waiter[T]{}
 	}
-	return &waiter[T]{wake: make(chan struct{}, 1)}
+	if wake := c.clock.parkChan(); wake != nil {
+		w.wake = wake
+	} else if w.wake == nil {
+		w.wake = make(chan struct{}, 1)
+	}
+	return w
 }
 
 // recycleWaiter caches w for the next receiver. Callers must guarantee no
 // waker still references w: its outcome was consumed and any timeout
-// timer is stopped or already fired. Only real-clock waiters are cached;
-// virtual-clock receivers keep their original allocation behaviour.
+// timer is stopped, cancelled or already fired. The waiter keeps its
+// real-clock wake channel and timeout timer; on the virtual clock the
+// next receiver brings its own wake channel and its timeout is a fresh
+// timer entry, so reuse changes no event order.
 func (c *Chan[T]) recycleWaiter(w *waiter[T]) {
-	if _, isReal := c.clock.(*Real); !isReal {
-		return
-	}
 	var zero T
 	w.val = zero // release the reference for the garbage collector
 	c.mu.Lock()
@@ -207,7 +217,16 @@ func (c *Chan[T]) RecvTimeout(d time.Duration) (v T, ok, timedOut bool) {
 	c.clock.parkPrepare()
 	<-w.wake
 	cancel()
-	return w.val, w.ok, w.timedOut
+	v, ok, timedOut = w.val, w.ok, w.timedOut
+	if timedOut {
+		// Senders skip a fired waiter, so unlinking it changes nothing
+		// but lets it be recycled.
+		c.removeWaiter(w)
+	}
+	if ok || timedOut {
+		c.recycleWaiter(w)
+	}
+	return v, ok, timedOut
 }
 
 // Close closes the mailbox: parked receivers wake with ok=false, buffered

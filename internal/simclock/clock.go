@@ -14,8 +14,9 @@
 // The virtual clock only works if simulation goroutines cooperate:
 //
 //   - Spawn goroutines with Clock.Go, never with the go statement.
-//   - Block only in clock-aware primitives: Clock.Sleep, Chan.Recv,
-//     Chan.RecvTimeout, Cond.Wait, WaitGroup.Wait.
+//   - Block only in clock-aware primitives: Clock.Sleep,
+//     Clock.SleepWhile, Chan.Recv, Chan.RecvTimeout, Cond.Wait,
+//     WaitGroup.Wait.
 //   - Never hold a mutex across any of those waits. Plain mutexes with
 //     short critical sections are fine.
 //
@@ -36,8 +37,37 @@ type Clock interface {
 	// caller must be a simulation goroutine (spawned via Go).
 	Sleep(d time.Duration)
 
+	// SleepWhile sleeps d, then calls again; while again reports true,
+	// it sleeps the duration again returned and calls again once more.
+	// It returns once again reports false. It behaves exactly as the
+	// loop
+	//
+	//	for {
+	//		c.Sleep(d)
+	//		var ok bool
+	//		if d, ok = again(); !ok {
+	//			return
+	//		}
+	//	}
+	//
+	// and on the real clock it is that loop. On the virtual clock each
+	// call of again that follows a positive sleep runs inside the clock,
+	// with the clock's lock held, at the instant the timer pops, so a
+	// re-armed wait costs no turn. again may therefore only inspect and
+	// update component state under that component's own mutex: it must
+	// not block, spawn, send, signal or read the clock. That mutex is
+	// then taken inside the clock's lock, so no code may park, or call
+	// into the clock from outside the simulation, while holding it.
+	SleepWhile(d time.Duration, again func() (time.Duration, bool))
+
 	// Go spawns fn as a simulation goroutine tracked by the clock.
 	Go(fn func())
+
+	// parkChan returns the wake channel the calling goroutine should
+	// park on, or nil when the caller must bring its own. The virtual
+	// clock returns the channel of the goroutine holding the baton, so
+	// its waits allocate no channel.
+	parkChan() chan struct{}
 
 	// parkPrepare marks the calling goroutine as blocked. It must be
 	// called immediately before blocking on a wake channel that some

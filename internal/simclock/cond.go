@@ -27,7 +27,7 @@ func NewCond(clock Clock, l sync.Locker) *Cond {
 // reacquires c.L. As with sync.Cond, callers must re-check their
 // condition in a loop.
 func (c *Cond) Wait() {
-	w := &waiter[struct{}]{wake: make(chan struct{}, 1)}
+	w := c.newWaiter()
 	c.mu.Lock()
 	c.waiters = append(c.waiters, w)
 	c.mu.Unlock()
@@ -41,7 +41,7 @@ func (c *Cond) Wait() {
 // WaitTimeout is Wait with a deadline. It reports whether the deadline
 // elapsed before a wake-up. c.L is reacquired either way.
 func (c *Cond) WaitTimeout(d time.Duration) (timedOut bool) {
-	w := &waiter[struct{}]{wake: make(chan struct{}, 1)}
+	w := c.newWaiter()
 	c.mu.Lock()
 	c.waiters = append(c.waiters, w)
 	c.mu.Unlock()
@@ -53,6 +53,16 @@ func (c *Cond) WaitTimeout(d time.Duration) (timedOut bool) {
 	cancel()
 	c.L.Lock()
 	return w.timedOut
+}
+
+// newWaiter returns a waiter that parks on the calling goroutine's wake
+// channel, or on a channel of its own on the real clock.
+func (c *Cond) newWaiter() *waiter[struct{}] {
+	wake := c.clock.parkChan()
+	if wake == nil {
+		wake = make(chan struct{}, 1)
+	}
+	return &waiter[struct{}]{wake: wake}
 }
 
 // Signal wakes one waiter, if any.

@@ -65,6 +65,63 @@ func TestTimerHeapPopsInWhenSeqOrder(t *testing.T) {
 	}
 }
 
+// TestTimerHeapRemoveMatchesLazySkip checks cancellation by removal
+// against the lazy deletion it replaced: the container/heap oracle keeps
+// every cancelled timer and skips it when it pops. Across 10k pushes,
+// with a random fifth of the pending timers removed and pops
+// interleaved, the typed heap must pop exactly the live timers the
+// oracle does, in the same order, and keep every entry's index in step
+// with its slot.
+func TestTimerHeapRemoveMatchesLazySkip(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var got timerHeap
+	var ref refHeap
+	removed := map[*timerEntry]bool{}
+	var seq uint64
+	check := func() {
+		for len(ref) > 0 {
+			r := heap.Pop(&ref).(*timerEntry)
+			if removed[r] {
+				continue
+			}
+			if g := got.pop(); g != r {
+				t.Fatalf("popped (at=%d seq=%d), oracle (at=%d seq=%d)", g.at, g.seq, r.at, r.seq)
+			}
+			return
+		}
+	}
+	for i := 0; i < 10_000; i++ {
+		seq++
+		when := epoch.Add(time.Duration(rng.Intn(500)) * time.Millisecond)
+		e := &timerEntry{when: when, at: when.UnixNano(), seq: seq}
+		got.push(e)
+		heap.Push(&ref, e)
+		if rng.Intn(5) == 0 && len(got) > 0 {
+			victim := got[rng.Intn(len(got))]
+			got.remove(victim)
+			removed[victim] = true
+		}
+		if rng.Intn(3) == 0 {
+			check()
+		}
+		if i%1000 == 0 {
+			for k, e := range got {
+				if e.index != k {
+					t.Fatalf("entry in slot %d records index %d", k, e.index)
+				}
+			}
+		}
+	}
+	for len(got) > 0 {
+		check()
+	}
+	for _, r := range ref {
+		if !removed[r] {
+			t.Fatalf("oracle still holds live timer seq=%d", r.seq)
+		}
+	}
+}
+
 // recordFire is a timeoutTarget that logs the order its timers fire in.
 type recordFire struct {
 	v    *Virtual

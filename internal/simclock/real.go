@@ -48,8 +48,21 @@ func (r *Real) Sleep(d time.Duration) {
 	time.Sleep(r.scaleDown(d))
 }
 
+// SleepWhile sleeps d, then keeps sleeping for as long as again asks.
+func (r *Real) SleepWhile(d time.Duration, again func() (time.Duration, bool)) {
+	for {
+		r.Sleep(d)
+		var ok bool
+		if d, ok = again(); !ok {
+			return
+		}
+	}
+}
+
 // Go spawns fn as an ordinary goroutine.
 func (r *Real) Go(fn func()) { go fn() }
+
+func (r *Real) parkChan() chan struct{} { return nil }
 
 func (r *Real) parkPrepare() {}
 

@@ -19,21 +19,57 @@ import (
 // earliest pending deadline and fires it. When nothing is runnable and
 // no timers remain, the simulation has quiesced and Wait returns.
 //
+// Simulation goroutines run on recycled workers: a worker whose fn
+// returns parks until Go hands it the next fn, so a spawn costs no
+// goroutine start and no stack growth. Each worker parks, in every
+// clock-aware wait, on its own wake channel, and the clock hands it the
+// baton by a send on that channel. Idle workers exit when the
+// simulation quiesces.
+//
 // The zero value is not usable; construct with NewVirtual.
 type Virtual struct {
 	mu       sync.Mutex
 	quiesced *sync.Cond // real condition: signalled whenever the sim quiesces
 	now      time.Time
 	running  bool // a goroutine holds the baton
-	// next and runq hold the wake channels of runnable goroutines; each
-	// gets the baton by a send on its channel. next is the goroutine
-	// most recently readied by the running one and goes first; runq is
-	// FIFO, fed by firing timers and by goroutines next displaced.
+	// cur is the wake channel of the goroutine holding the baton (nil
+	// when none does); its clock-aware waits park on it.
+	cur chan struct{}
+	// next and runq[head:] hold the wake channels of runnable
+	// goroutines; each gets the baton by a send on its channel. next is
+	// the goroutine most recently readied by the running one and goes
+	// first; the run queue is FIFO, fed by firing timers and by
+	// goroutines next displaced. Its backing array is reused once it
+	// drains.
 	next   chan struct{}
 	runq   []chan struct{}
-	parked int // diagnostic: goroutines parked in channel/cond waits
+	head   int
+	idle   []*worker     // workers whose fn returned, awaiting the next Go
+	free   []*timerEntry // fired sleep timers, reused by the next sleep
+	parked int           // diagnostic: goroutines parked in channel/cond waits
 	timers timerHeap
 	seq    uint64
+	stats  Stats
+	// popHook, when set (by tests), sees each live timer as it pops.
+	popHook func(when time.Time, seq uint64)
+}
+
+// Stats counts the clock's work since construction. The counts depend
+// only on the simulation, so a seeded run reproduces them exactly.
+type Stats struct {
+	// Turns counts baton hand-offs: each is one goroutine resuming.
+	Turns uint64
+	// Goroutines counts the worker goroutines started.
+	Goroutines uint64
+	// Timers counts timer pushes: sleeps, timeouts and SleepWhile
+	// re-arms.
+	Timers uint64
+}
+
+// worker is a recycled simulation goroutine.
+type worker struct {
+	wake chan struct{}
+	fn   func() // the work of the next turn; nil tells an idle worker to exit
 }
 
 var _ Clock = (*Virtual)(nil)
@@ -52,34 +88,96 @@ func (v *Virtual) Now() time.Time {
 	return v.now
 }
 
+// Stats returns the clock's work counters.
+func (v *Virtual) Stats() Stats {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.stats
+}
+
 // Go spawns fn as a simulation goroutine. It may be called from inside or
 // outside the simulation; fn starts when its turn in the run queue comes.
 func (v *Virtual) Go(fn func()) {
-	wake := make(chan struct{}, 1)
 	v.mu.Lock()
-	v.readyLocked(wake)
+	var w *worker
+	if n := len(v.idle); n > 0 {
+		w = v.idle[n-1]
+		v.idle[n-1] = nil
+		v.idle = v.idle[:n-1]
+	} else {
+		w = &worker{wake: make(chan struct{}, 1)}
+		v.stats.Goroutines++
+		go v.work(w)
+	}
+	w.fn = fn
+	v.readyLocked(w.wake)
 	v.dispatchLocked()
 	v.mu.Unlock()
-	go func() {
-		<-wake
-		defer func() {
+}
+
+// work is a worker's body: run each fn handed over by Go in its turn,
+// then yield and wait, idle, for the next.
+func (v *Virtual) work(w *worker) {
+	exited := false
+	defer func() {
+		if !exited {
+			// fn panicked or called runtime.Goexit (as t.FailNow does):
+			// pass the baton on as an exiting goroutine always has, and
+			// retire the worker rather than reuse it.
 			v.mu.Lock()
 			v.yieldLocked()
 			v.mu.Unlock()
-		}()
-		fn()
+		}
 	}()
+	for {
+		<-w.wake
+		fn := w.fn
+		if fn == nil {
+			exited = true
+			return
+		}
+		w.fn = nil
+		fn()
+		v.mu.Lock()
+		v.idle = append(v.idle, w)
+		v.yieldLocked()
+		v.mu.Unlock()
+	}
 }
 
 // Sleep blocks the calling simulation goroutine for d of virtual time.
 // Non-positive durations return immediately.
 func (v *Virtual) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		v.sleep(d, nil)
 	}
-	wake := make(chan struct{}, 1)
+}
+
+// SleepWhile sleeps d, then calls again; while again reports true it
+// sleeps the duration again returned and calls it once more. Each call
+// of again after a positive sleep runs inside the clock, with the clock
+// lock held, at the instant its timer pops. Timers pop only when no
+// simulation goroutine is runnable, so that is exactly where the woken
+// goroutine would have run alone: re-arming there, rather than waking
+// the goroutine to re-arm, changes no timer push and no turn order.
+func (v *Virtual) SleepWhile(d time.Duration, again func() (time.Duration, bool)) {
+	for d <= 0 {
+		var ok bool
+		if d, ok = again(); !ok {
+			return
+		}
+	}
+	v.sleep(d, again)
+}
+
+// sleep parks the caller on a timer d from now, with again (if not nil)
+// to run when it pops; d must be positive.
+func (v *Virtual) sleep(d time.Duration, again func() (time.Duration, bool)) {
 	v.mu.Lock()
-	v.push(v.now.Add(d), func() { v.runq = append(v.runq, wake) })
+	wake := v.parkChanLocked()
+	e := v.timerLocked()
+	e.wake, e.again = wake, again
+	v.pushLocked(e, d)
 	v.yieldLocked()
 	v.mu.Unlock()
 	<-wake
@@ -111,6 +209,22 @@ func (v *Virtual) Parked() int {
 	return v.parked
 }
 
+func (v *Virtual) parkChan() chan struct{} {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.cur
+}
+
+// parkChanLocked returns the wake channel the caller parks on: its own
+// when it holds the baton, a fresh one when called from outside a
+// running simulation. The caller must hold v.mu.
+func (v *Virtual) parkChanLocked() chan struct{} {
+	if v.cur != nil {
+		return v.cur
+	}
+	return make(chan struct{}, 1)
+}
+
 func (v *Virtual) parkPrepare() {
 	v.mu.Lock()
 	v.parked++
@@ -129,17 +243,18 @@ func (v *Virtual) unpark(wake chan struct{}) {
 func (v *Virtual) afterFunc(d time.Duration, t timeoutTarget) (cancel func()) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	e := v.push(v.now.Add(d), nil)
-	e.fire = func() {
-		if wake := t.timeoutFire(); wake != nil {
-			// The target was parked; firing the timeout makes it runnable.
-			v.parked--
-			v.runq = append(v.runq, wake)
-		}
-	}
+	// A timeout entry is never recycled: cancel may run after it fired.
+	e := &timerEntry{target: t}
+	v.pushLocked(e, d)
 	return func() {
 		v.mu.Lock()
-		e.dead = true
+		if e.index >= 0 {
+			// Cancelled before it fired: drop it now rather than pop
+			// and skip it later. An RPC's 30-second call timeout is
+			// cancelled by nearly every reply, so this keeps the heap to
+			// the live timers.
+			v.timers.remove(e)
+		}
 		v.mu.Unlock()
 	}
 }
@@ -159,6 +274,7 @@ func (v *Virtual) readyLocked(wake chan struct{}) {
 // hold v.mu.
 func (v *Virtual) yieldLocked() {
 	v.running = false
+	v.cur = nil
 	v.dispatchLocked()
 }
 
@@ -171,49 +287,115 @@ func (v *Virtual) dispatchLocked() {
 		switch {
 		case v.next != nil:
 			next, v.next = v.next, nil
-		case len(v.runq) > 0:
-			next = v.runq[0]
-			v.runq[0] = nil
-			v.runq = v.runq[1:]
+		case v.head < len(v.runq):
+			next = v.runq[v.head]
+			v.runq[v.head] = nil
+			v.head++
+			if v.head == len(v.runq) {
+				v.runq, v.head = v.runq[:0], 0
+			}
 		case len(v.timers) == 0:
+			v.retireIdleLocked()
 			v.quiesced.Broadcast()
 			return
 		default:
 			e := v.timers.pop()
-			if e.dead {
-				continue
+			if v.popHook != nil {
+				v.popHook(e.when, e.seq)
 			}
 			if e.when.After(v.now) {
 				v.now = e.when
 			}
-			e.fire()
+			v.fireLocked(e)
 			continue
 		}
 		v.running = true
+		v.cur = next
+		v.stats.Turns++
 		next <- struct{}{}
 	}
+}
+
+// fireLocked runs a popped timer: a timeout fires its target; a
+// SleepWhile timer first runs again, in place of its sleeper, and is
+// re-armed while again asks; a sleeper's timer makes it runnable and is
+// recycled. The caller must hold v.mu.
+func (v *Virtual) fireLocked(e *timerEntry) {
+	if e.target != nil {
+		if wake := e.target.timeoutFire(); wake != nil {
+			// The target was parked; firing the timeout makes it runnable.
+			v.parked--
+			v.runq = append(v.runq, wake)
+		}
+		return
+	}
+	for e.again != nil {
+		d, ok := e.again()
+		if !ok {
+			break
+		}
+		if d > 0 {
+			v.pushLocked(e, d)
+			return
+		}
+	}
+	v.runq = append(v.runq, e.wake)
+	*e = timerEntry{}
+	v.free = append(v.free, e)
 }
 
 // quiescedLocked reports whether nothing is running, nothing is
 // runnable and no timer is pending. The caller must hold v.mu.
 func (v *Virtual) quiescedLocked() bool {
-	return !v.running && v.next == nil && len(v.runq) == 0 && len(v.timers) == 0
+	return !v.running && v.next == nil && v.head == len(v.runq) && len(v.timers) == 0
 }
 
-// push inserts a timer entry; the caller must hold v.mu.
-func (v *Virtual) push(when time.Time, fire func()) *timerEntry {
+// retireIdleLocked tells every idle worker to exit, so a quiesced
+// simulation holds no goroutines but those parked in its waits. The
+// caller must hold v.mu.
+func (v *Virtual) retireIdleLocked() {
+	for i, w := range v.idle {
+		w.wake <- struct{}{} // w.fn is nil: exit
+		v.idle[i] = nil
+	}
+	v.idle = v.idle[:0]
+}
+
+// timerLocked returns a zeroed timer entry, reusing a fired sleep
+// timer when one is free. The caller must hold v.mu.
+func (v *Virtual) timerLocked() *timerEntry {
+	if n := len(v.free); n > 0 {
+		e := v.free[n-1]
+		v.free[n-1] = nil
+		v.free = v.free[:n-1]
+		return e
+	}
+	return &timerEntry{}
+}
+
+// pushLocked arms e to pop d from now; the caller must hold v.mu.
+func (v *Virtual) pushLocked(e *timerEntry, d time.Duration) {
 	v.seq++
-	e := &timerEntry{when: when, at: when.UnixNano(), seq: v.seq, fire: fire}
+	v.stats.Timers++
+	e.when = v.now.Add(d)
+	e.at = e.when.UnixNano()
+	e.seq = v.seq
 	v.timers.push(e)
-	return e
 }
 
+// timerEntry is a pending timer. It is one of two kinds: a sleep (wake
+// set; again too for SleepWhile), which makes its sleeper runnable, or a
+// timeout (target set), which fires its target.
 type timerEntry struct {
 	when time.Time
 	at   int64  // when.UnixNano(), the heap key: exact for years 1678–2262
 	seq  uint64 // FIFO tie-break for simultaneous deadlines
-	fire func() // runs with the clock mutex held; must not block
-	dead bool
+	wake chan struct{}
+	// again, on a SleepWhile timer, runs with the clock mutex held when
+	// the timer pops; it must not block or call into the clock.
+	again  func() (time.Duration, bool)
+	target timeoutTarget
+	index  int // slot in the heap; -1 once popped or cancelled
 }
 
 // timerHeap is a binary min-heap of timers ordered by (at, seq). seq is
@@ -232,48 +414,72 @@ func (e *timerEntry) before(o *timerEntry) bool {
 
 func (h *timerHeap) push(e *timerEntry) {
 	*h = append(*h, e)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !e.before(q[p]) {
-			break
-		}
-		q[i] = q[p]
-		i = p
-	}
-	q[i] = e
+	h.up(len(*h)-1, e)
 }
 
 // pop removes and returns the earliest timer; the heap must be non-empty.
 func (h *timerHeap) pop() *timerEntry {
+	top := (*h)[0]
+	h.remove(top)
+	return top
+}
+
+// remove takes e, which must be in the heap, out of it. The order is
+// strict and total, so removing an entry changes nothing about when the
+// others pop.
+func (h *timerHeap) remove(e *timerEntry) {
 	q := *h
-	top := q[0]
-	n := len(q) - 1
+	i, n := e.index, len(q)-1
+	e.index = -1
 	last := q[n]
 	q[n] = nil
 	q = q[:n]
 	*h = q
-	if n == 0 {
-		return top
+	if i == n {
+		return
 	}
-	i := 0
+	if i > 0 && last.before(q[(i-1)/2]) {
+		q.up(i, last)
+	} else {
+		q.down(i, last)
+	}
+}
+
+// up places e at slot i or above, moving later parents down.
+func (h timerHeap) up(i int, e *timerEntry) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].index = i
+		i = p
+	}
+	h[i] = e
+	e.index = i
+}
+
+// down places e at slot i or below, moving earlier children up.
+func (h timerHeap) down(i int, e *timerEntry) {
+	n := len(h)
 	for {
 		c := 2*i + 1
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && q[r].before(q[c]) {
+		if r := c + 1; r < n && h[r].before(h[c]) {
 			c = r
 		}
-		if !q[c].before(last) {
+		if !h[c].before(e) {
 			break
 		}
-		q[i] = q[c]
+		h[i] = h[c]
+		h[i].index = i
 		i = c
 	}
-	q[i] = last
-	return top
+	h[i] = e
+	e.index = i
 }
 
 // String renders a small diagnostic snapshot, handy when a simulation
@@ -281,7 +487,7 @@ func (h *timerHeap) pop() *timerEntry {
 func (v *Virtual) String() string {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	runnable := len(v.runq)
+	runnable := len(v.runq) - v.head
 	if v.running {
 		runnable++
 	}

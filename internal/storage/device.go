@@ -207,6 +207,10 @@ type Device struct {
 	started time.Time
 	rvRng   *rand.Rand // read-variability stream, nil without ReadVar
 	slowAcc int64      // cumulative tail reads drawn
+	// The granule in service: its request, size and cost.
+	req   *request
+	slice int64
+	cost  time.Duration
 }
 
 // NewDevice creates a device and starts its serving loop on the clock.
@@ -317,7 +321,10 @@ func (d *Device) submitParallel(kind opKind, n int64) error {
 
 // run is the device's serving loop: one granule per iteration, round-robin
 // across outstanding requests, with a seek charged on stream switches.
+// Granules that finish no request chain inside the clock (see
+// nextGranule); the loop wakes only to finish a request or to close.
 func (d *Device) run() {
+	next := d.nextGranule
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for {
@@ -331,29 +338,63 @@ func (d *Device) run() {
 			d.queue = nil
 			return
 		}
-
-		req := d.queue[0]
-		d.queue = d.queue[1:]
-		slice := req.remaining
-		if slice > d.spec.Granule {
-			slice = d.spec.Granule
-		}
-		cost := d.serviceTime(req, slice)
-		d.lastID = req.id
+		cost := d.startGranuleLocked()
 		d.mu.Unlock()
 
-		d.clock.Sleep(cost)
+		d.clock.SleepWhile(cost, next)
 
 		d.mu.Lock()
-		d.busy += cost
-		d.served += slice
-		req.remaining -= slice
-		if req.remaining <= 0 {
+		if req := d.endGranuleLocked(); req.remaining <= 0 {
 			req.done.Send(nil)
-		} else {
-			d.queue = append(d.queue, req) // back of the round-robin ring
 		}
 	}
+}
+
+// nextGranule runs when a granule's service time is up. If the granule
+// finishes no request and the device is open, it does what the serving
+// loop would do next — account the granule, requeue its request and
+// start the next granule — and asks to sleep that granule's cost. It
+// only touches device state under d.mu, so it may run inside the clock
+// (Clock.SleepWhile).
+func (d *Device) nextGranule() (time.Duration, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed || d.req.remaining <= d.slice {
+		return 0, false
+	}
+	d.endGranuleLocked()
+	return d.startGranuleLocked(), true
+}
+
+// startGranuleLocked takes the request at the head of the non-empty
+// queue into service for one granule and returns the granule's cost.
+// The caller must hold d.mu.
+func (d *Device) startGranuleLocked() time.Duration {
+	req := d.queue[0]
+	d.queue = d.queue[1:]
+	slice := req.remaining
+	if slice > d.spec.Granule {
+		slice = d.spec.Granule
+	}
+	d.req, d.slice = req, slice
+	d.cost = d.serviceTime(req, slice)
+	d.lastID = req.id
+	return d.cost
+}
+
+// endGranuleLocked accounts the granule in service and returns its
+// request, requeued at the back of the round-robin ring unless the
+// granule finished it. The caller must hold d.mu.
+func (d *Device) endGranuleLocked() *request {
+	req := d.req
+	d.req = nil
+	d.busy += d.cost
+	d.served += d.slice
+	req.remaining -= d.slice
+	if req.remaining > 0 {
+		d.queue = append(d.queue, req)
+	}
+	return req
 }
 
 func (d *Device) serviceTime(req *request, slice int64) time.Duration {
@@ -396,9 +437,13 @@ func (d *Device) Stats() Stats {
 // Utilization reports the fraction of time the device has been busy since
 // it started, in [0, 1].
 func (d *Device) Utilization() float64 {
+	// Read the clock before taking d.mu: the virtual clock takes d.mu
+	// inside its own lock (nextGranule), so the reverse order could
+	// deadlock with a caller outside the simulation.
+	now := d.clock.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	elapsed := d.clock.Now().Sub(d.started)
+	elapsed := now.Sub(d.started)
 	if elapsed <= 0 {
 		return 0
 	}

@@ -96,6 +96,13 @@ type link struct {
 	net *InmemNetwork
 	in  *simclock.Chan[Message]
 	out *simclock.Chan[Message]
+	// deliver, once set, takes each message in place of out, in the
+	// pump's own turn, and closed is spawned in place of closing out.
+	// Only simulation goroutines touch these fields, and they run one at
+	// a time, so they need no lock.
+	deliver func(Message)
+	closed  func()
+	done    bool // the pump has exited
 }
 
 func newLink(n *InmemNetwork) *link {
@@ -112,12 +119,21 @@ func (l *link) pump() {
 	for {
 		m, ok := l.in.Recv()
 		if !ok {
-			l.out.Close()
+			l.done = true
+			if l.closed != nil {
+				l.net.clock.Go(l.closed)
+			} else {
+				l.out.Close()
+			}
 			return
 		}
 		transmit := time.Duration(float64(wireSize(m.Body)) / (l.net.mbps * 1e6) * float64(time.Second))
 		l.net.clock.Sleep(l.net.latency + transmit)
-		l.out.Send(m)
+		if l.deliver != nil {
+			l.deliver(m)
+		} else {
+			l.out.Send(m)
+		}
 	}
 }
 
@@ -143,6 +159,23 @@ func (c *inmemConn) Recv() (Message, error) {
 		return Message{}, ErrClosed
 	}
 	return m, nil
+}
+
+// deliverDirect implements directConn, on the virtual clock only, and
+// only while nothing is queued for Recv and the link is open. The link
+// then runs fn in the pump's turn, where a Recv loop forwarding to fn
+// would have run next and alone (the pump readies nothing else before it
+// yields), so the same work happens in the same order with one turn
+// fewer. At the close the pump spawns closed where closing out would
+// have woken the loop parked in Recv: both ready one goroutine as the
+// next to run.
+func (c *inmemConn) deliverDirect(fn func(Message), closed func()) bool {
+	l := c.recv
+	if _, ok := l.net.clock.(*simclock.Virtual); !ok || l.done || l.out.Len() > 0 {
+		return false
+	}
+	l.deliver, l.closed = fn, closed
+	return true
 }
 
 func (c *inmemConn) Close() error {

@@ -67,36 +67,45 @@ func (s *Server) ServeBackground(l Listener) {
 }
 
 func (s *Server) serveConn(conn Conn) {
-	defer func() {
+	closed := func() {
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
 		conn.Close()
-	}()
+	}
+	if d, ok := conn.(directConn); ok && d.deliverDirect(func(m Message) { s.dispatch(conn, m) }, closed) {
+		return
+	}
+	defer closed()
 	for {
 		m, err := conn.Recv()
 		if err != nil {
 			return
 		}
-		if m.Reply {
-			continue // stray reply; ignore
-		}
-		s.mu.Lock()
-		fn, ok := s.handlers[m.Method]
-		s.mu.Unlock()
-		s.clock.Go(func() {
-			reply := Message{ID: m.ID, Reply: true}
-			if !ok {
-				reply.Err = fmt.Sprintf("unknown method %q", m.Method)
-			} else if body, err := safeCall(fn, m.Method, m.Body); err != nil {
-				reply.Err = err.Error()
-			} else {
-				reply.Body = body
-			}
-			// Best effort: the conn may have closed while handling.
-			_ = conn.Send(reply)
-		})
+		s.dispatch(conn, m)
 	}
+}
+
+// dispatch spawns the handler for one inbound call.
+func (s *Server) dispatch(conn Conn, m Message) {
+	if m.Reply {
+		return // stray reply; ignore
+	}
+	s.mu.Lock()
+	fn, ok := s.handlers[m.Method]
+	s.mu.Unlock()
+	s.clock.Go(func() {
+		reply := Message{ID: m.ID, Reply: true}
+		if !ok {
+			reply.Err = fmt.Sprintf("unknown method %q", m.Method)
+		} else if body, err := safeCall(fn, m.Method, m.Body); err != nil {
+			reply.Err = err.Error()
+		} else {
+			reply.Body = body
+		}
+		// Best effort: the conn may have closed while handling.
+		_ = conn.Send(reply)
+	})
 }
 
 // safeCall runs a handler, converting a panic into an error reply so one
@@ -183,22 +192,30 @@ func Dial(clock simclock.Clock, net Network, addr string, opts ...ClientOption) 
 }
 
 func (c *Client) recvLoop() {
+	if d, ok := c.conn.(directConn); ok && d.deliverDirect(c.deliver, c.failAll) {
+		return
+	}
 	for {
 		m, err := c.conn.Recv()
 		if err != nil {
 			c.failAll()
 			return
 		}
-		if !m.Reply {
-			continue
-		}
-		c.mu.Lock()
-		ch, ok := c.pending[m.ID]
-		delete(c.pending, m.ID)
-		c.mu.Unlock()
-		if ok {
-			ch.Send(m)
-		}
+		c.deliver(m)
+	}
+}
+
+// deliver drops a reply into its call's mailbox.
+func (c *Client) deliver(m Message) {
+	if !m.Reply {
+		return
+	}
+	c.mu.Lock()
+	ch, ok := c.pending[m.ID]
+	delete(c.pending, m.ID)
+	c.mu.Unlock()
+	if ok {
+		ch.Send(m)
 	}
 }
 

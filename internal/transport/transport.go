@@ -72,6 +72,17 @@ type Conn interface {
 	Close() error
 }
 
+// directConn is a Conn that can hand each inbound message straight to
+// fn instead of queueing it for Recv, and spawn closed when the inbound
+// side closes. deliverDirect reports whether it will; if it does, the
+// caller's Recv loop has nothing left to do and exits. The RPC layer
+// uses it on the in-memory transport under the virtual clock, where
+// forwarding each message through a Recv loop costs a turn and a parked
+// goroutine per conn; TCP conns and wrapped conns keep their loops.
+type directConn interface {
+	deliverDirect(fn func(Message), closed func()) bool
+}
+
 // Listener accepts inbound connections.
 type Listener interface {
 	Accept() (Conn, error)
